@@ -3,6 +3,7 @@ package micronn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -42,6 +43,7 @@ func TestTypedErrBadRequest(t *testing.T) {
 	if _, err := db.BatchSearch(BatchSearchRequest{Vectors: [][]float32{q}, K: -3}); !errors.Is(err, ErrBadRequest) {
 		t.Fatal("BatchSearch with negative K did not return ErrBadRequest")
 	}
+	checkNonFiniteRejected(t, db)
 	// Create-time option validation uses the same sentinel.
 	if _, err := Open(filepath.Join(t.TempDir(), "bad.mnn"), Options{Dim: 4, Quantization: Quantization(9)}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Open with unknown quantization: %v, want ErrBadRequest", err)
@@ -155,6 +157,57 @@ func TestShardedTypedErrorsMatchSingle(t *testing.T) {
 	}
 	if _, err := sdb.Search(SearchRequest{Vector: []float32{1, 0, 0, 0}, K: -1}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("sharded Search negative K: %v, want ErrBadRequest", err)
+	}
+	checkNonFiniteRejected(t, sdb)
+}
+
+// checkNonFiniteRejected: a NaN or ±Inf vector component is ErrBadRequest
+// on every query kind, live and on a snapshot, and on writes — where the
+// rejected batch must leave none of its items behind. The store has Dim 4.
+func checkNonFiniteRejected(t *testing.T, db Store) {
+	t.Helper()
+	ok := []float32{1, 0, 0, 0}
+	bad := map[string][]float32{
+		"NaN":  {1, float32(math.NaN()), 0, 0},
+		"+Inf": {float32(math.Inf(1)), 0, 0, 0},
+		"-Inf": {1, 0, 0, float32(math.Inf(-1))},
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for name, v := range bad {
+		for _, r := range []interface {
+			Search(SearchRequest) (*SearchResponse, error)
+			BatchSearch(BatchSearchRequest) (*BatchSearchResponse, error)
+			HybridSearch(HybridRequest) (*HybridResponse, error)
+		}{db, snap} {
+			if _, err := r.Search(SearchRequest{Vector: v, K: 1}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%T Search with %s: %v, want ErrBadRequest", r, name, err)
+			}
+			if _, err := r.Search(SearchRequest{Vector: v, K: 1, Exact: true}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%T exact Search with %s: %v, want ErrBadRequest", r, name, err)
+			}
+			if _, err := r.BatchSearch(BatchSearchRequest{Vectors: [][]float32{ok, v}, K: 1}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%T BatchSearch with %s: %v, want ErrBadRequest", r, name, err)
+			}
+			if _, err := r.HybridSearch(HybridRequest{Vector: v, K: 1}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%T HybridSearch with %s: %v, want ErrBadRequest", r, name, err)
+			}
+		}
+		items := []Item{{ID: "fin-" + name, Vector: ok}, {ID: "bad-" + name, Vector: v}}
+		if err := db.UpsertBatch(items); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("UpsertBatch with %s: %v, want ErrBadRequest", name, err)
+		}
+		if err := db.Upsert(items[1]); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Upsert with %s: %v, want ErrBadRequest", name, err)
+		}
+		for _, it := range items {
+			if _, err := db.Get(it.ID); !errors.Is(err, ErrNotFound) {
+				t.Errorf("Get(%q) after a rejected batch: %v, want ErrNotFound", it.ID, err)
+			}
+		}
 	}
 }
 

@@ -174,297 +174,150 @@ func fuseHybrid(req HybridRequest, vec []Result, lex []ivf.LexicalDoc) []HybridR
 	return cands
 }
 
-// hybridAt runs the fused query at rt's snapshot (the uncached single-store
-// core): both legs read the same pinned state, so a concurrent writer can
-// never skew one leg against the other.
-func (db *DB) hybridAt(rt *storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	vecResp, err := db.searchAt(rt, req.vectorRequest())
-	if err != nil {
-		return nil, err
-	}
-	toks := token.Unique(req.Text)
-	gs, err := db.ix.LexicalStats(rt, req.TextCol, toks)
-	if err != nil {
-		return nil, err
-	}
-	lex, err := db.ix.LexicalSearch(rt, req.TextCol, req.Vector, toks, gs, req.K)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridResponse{
-		Results: fuseHybrid(req, vecResp.Results, lex),
-		Plan:    vecResp.Plan,
-	}, nil
-}
-
 // HybridSearch runs a fused lexical + vector query (see the package doc's
 // "Hybrid search" section). With empty Text it is equivalent to Search.
 func (db *DB) HybridSearch(req HybridRequest) (*HybridResponse, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := db.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	db.hybridSearches.Add(1)
-	if req.Text == "" {
-		resp, err := db.Search(req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	if db.cache == nil || req.NoCache {
-		var resp *HybridResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var herr error
-			resp, herr = db.hybridAt(rt, req)
-			return herr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.hybridCacheKey(req), cloneHybridResponse, hybridResponseSize,
-		func(resp *HybridResponse) rescache.PutPolicy { return hybridPutPolicy(len(req.Filters), resp) },
-		func(rt *storage.ReadTxn) (*HybridResponse, error) { return db.hybridAt(rt, req) })
+	return db.hybridSearch(nil, req)
 }
 
-// HybridSearch runs the fused query against the pinned state (same
-// semantics as DB.HybridSearch, never cached — snapshots answer from their
-// own horizon).
-func (s *Snapshot) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	if err := s.db.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	s.db.hybridSearches.Add(1)
-	if req.Text == "" {
-		resp, err := s.db.searchAt(s.rt, req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	return s.db.hybridAt(s.rt, req)
-}
-
-// hybridCacheKey fingerprints the request in canonical form: the vector-leg
-// knobs canonicalize exactly like searchCacheKey, and the lexical/fusion
-// parameters join the fingerprint (rescache tokenizes Text, so queries
-// equal after tokenization share one entry).
-func (db *DB) hybridCacheKey(req HybridRequest) rescache.Key {
-	return rescache.KeyOf(rescache.Request{
-		Kind:         rescache.KindHybrid,
-		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, req.Exact),
-		RerankFactor: db.canonRerank(req.RerankFactor, req.Exact),
-		Plan:         canonPlan(req.Plan, req.Filters),
-		Exact:        req.Exact,
-		Vectors:      [][]float32{req.Vector},
-		Filters:      req.Filters,
-		Text:         req.Text,
-		TextCol:      req.TextCol,
-		FusionK:      req.FusionK,
-		Weighted:     req.Weighted,
-		VectorWeight: req.VectorWeight,
-		TextWeight:   req.TextWeight,
-	})
-}
-
-func cloneHybridResponse(r *HybridResponse) *HybridResponse {
-	return &HybridResponse{Results: append([]HybridResult(nil), r.Results...), Plan: r.Plan}
-}
-
-func hybridResponseSize(r *HybridResponse) int64 {
-	n := int64(96)
-	for _, res := range r.Results {
-		n += 64 + int64(len(res.ID))
-	}
-	return n
-}
-
-// hybridPutPolicy classifies a hybrid response for cache admission (same
-// rules as plain searches).
-func hybridPutPolicy(nFilters int, resp *HybridResponse) rescache.PutPolicy {
-	return rescache.PutPolicy{
-		FilterHeavy: nFilters >= filterHeavyFilters,
-		Negative:    len(resp.Results) == 0,
-	}
-}
-
-// --- sharded ---
-
-// HybridSearch scatters both legs to every shard and fuses globally (same
-// semantics as DB.HybridSearch). BM25 statistics are aggregated across the
-// shard set before any shard scores, so the lexical ranking — and therefore
-// the fused ranking — is identical to a single store holding the same
-// corpus.
+// HybridSearch runs a fused query across the shard set (same semantics as
+// DB.HybridSearch). BM25 statistics are aggregated across the shards before
+// any shard scores, so the fused ranking is identical to a single store
+// holding the same corpus.
 func (s *ShardedDB) HybridSearch(req HybridRequest) (*HybridResponse, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := s.normalizeHybrid(&req); err != nil {
+	return s.hybridSearch(nil, req)
+}
+
+// HybridSearch runs a fused query against the pinned state.
+func (s *Snapshot) HybridSearch(req HybridRequest) (*HybridResponse, error) {
+	return s.r.hybridSearch(s.rts, req)
+}
+
+// hybridShardOut is one shard's HybridSearch output: its vector-leg scan
+// and its local BM25 statistics for the query tokens.
+type hybridShardOut struct {
+	vec   shardOut
+	stats fts.BM25Stats
+}
+
+// hybridSearch runs a fused query through the router. Empty Text runs the
+// Search kind (same results and cache entries as Search). Otherwise the
+// per-shard scan runs the vector leg and collects the shard's local
+// df/N/length statistics; the merge merges the vector leg, sums the
+// statistics into the global corpus view, has every shard BM25-score its
+// own postings with the global figures, merges those lists and fuses the
+// two legs. Scoring with global figures makes per-shard scores — not just
+// ranks — comparable, so the fused ranking equals a single store's.
+func (r *router) hybridSearch(snap []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
+	if err := r.normalizeHybrid(&req); err != nil {
 		return nil, err
 	}
-	s.hybridSearches.Add(1)
+	r.hybridSearches.Add(1)
+	vreq := req.vectorRequest()
 	if req.Text == "" {
-		resp, err := s.Search(req.vectorRequest())
+		resp, err := r.search(snap, vreq)
 		if err != nil {
 			return nil, err
 		}
 		return hybridFromSearch(resp), nil
 	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache {
-		return s.hybridCompute(rts, req)
-	}
-	key := s.shards[0].hybridCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneHybridResponse(v.(*HybridResponse)), nil
-	}
-	return cachedShardedQuery(s, key, gens, cloneHybridResponse, func() (*HybridResponse, []int64, error) {
-		return s.cachedHybridOn(rts, req, key, gens, false, true)
-	})
-}
-
-// hybridOn is the pinned-transaction entry point shared with
-// ShardedSnapshot.HybridSearch: consult the cache against the pinned
-// horizons (store=false — snapshot generations must not displace live
-// entries), recompute on miss.
-func (s *ShardedDB) hybridOn(rts []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	if err := s.normalizeHybrid(&req); err != nil {
-		return nil, err
-	}
-	if req.Text == "" {
-		resp, err := s.searchOn(rts, req.vectorRequest())
-		if err != nil {
-			return nil, err
-		}
-		return hybridFromSearch(resp), nil
-	}
-	if s.cache == nil || req.NoCache {
-		return s.hybridCompute(rts, req)
-	}
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedHybridOn(rts, req, s.shards[0].hybridCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneHybridResponse(resp), nil
-}
-
-// cachedHybridOn validates, serves or recomputes a hybrid query at rts'
-// snapshots (the hybrid analog of cachedSearchOn). Hybrid entries cache the
-// merged response only — a stale entry recomputes both legs in full.
-func (s *ShardedDB) cachedHybridOn(rts []*storage.ReadTxn, req HybridRequest, key rescache.Key, gens []int64, counted, store bool) (*HybridResponse, []int64, error) {
-	var v any
-	var out rescache.Outcome
-	if counted {
-		v, _, out = s.cache.Get(key, gens)
-	} else {
-		v, _, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*HybridResponse), gens, nil
-	}
-	resp, err := s.hybridCompute(rts, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		s.cache.PutWithPolicy(key, gens, resp, hybridResponseSize(resp),
-			hybridPutPolicy(len(req.Filters), resp))
-	}
-	return resp, gens, nil
-}
-
-// hybridCompute runs both legs across the shard set at the pinned
-// transactions. The lexical leg is two-phase: (1) every shard reports its
-// local df/N/length statistics, which the router sums into the global
-// corpus view; (2) every shard BM25-scores its local postings USING the
-// global statistics and returns its top K, which the router merges. Phase 2
-// scoring with global figures is what makes per-shard scores — not just
-// ranks — comparable, so the merged ranking equals a single store's.
-func (s *ShardedDB) hybridCompute(rts []*storage.ReadTxn, req HybridRequest) (*HybridResponse, error) {
-	outs, err := s.searchScatter(rts, req.vectorRequest(), nil)
-	if err != nil {
-		return nil, err
-	}
-	vecResp, err := s.searchMerge(rts, req.vectorRequest(), outs)
-	if err != nil {
-		return nil, err
-	}
-
 	toks := token.Unique(req.Text)
-	perStats := make([]fts.BM25Stats, len(s.shards))
-	err = s.scatter(func(i int, sh *DB) error {
-		st, serr := sh.ix.LexicalStats(rts[i], req.TextCol, toks)
-		perStats[i] = st
-		return serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	var global fts.BM25Stats
-	for _, st := range perStats {
-		global.Merge(st)
-	}
+	vscan := r.searchScan(vreq)
+	return run(r, snap, &query[hybridShardOut, *HybridResponse]{
+		scan: func(sh *DB, rt *storage.ReadTxn, cancel <-chan struct{}) (hybridShardOut, error) {
+			vo, err := vscan(sh, rt, cancel)
+			if err != nil {
+				return hybridShardOut{}, err
+			}
+			st, err := sh.ix.LexicalStats(rt, req.TextCol, toks)
+			return hybridShardOut{vec: vo, stats: st}, err
+		},
+		merge: func(rts []*storage.ReadTxn, outs []hybridShardOut) (*HybridResponse, error) {
+			vouts := make([]shardOut, len(outs))
+			var global fts.BM25Stats
+			for i, o := range outs {
+				vouts[i] = o.vec
+				global.Merge(o.stats)
+			}
+			vecResp, err := r.searchMerge(rts, vreq, vouts)
+			if err != nil {
+				return nil, err
+			}
+			perLex := make([][]ivf.LexicalDoc, len(outs))
+			err = r.scatter(func(i int, sh *DB, _ <-chan struct{}) error {
+				var lerr error
+				perLex[i], lerr = sh.ix.LexicalSearch(rts[i], req.TextCol, req.Vector, toks, global, req.K)
+				return lerr
+			})
+			if err != nil {
+				return nil, err
+			}
+			return &HybridResponse{
+				Results: fuseHybrid(req, vecResp.Results, mergeLexical(perLex, req.K)),
+				Plan:    vecResp.Plan,
+			}, nil
+		},
 
-	perLex := make([][]ivf.LexicalDoc, len(s.shards))
-	err = s.scatter(func(i int, sh *DB) error {
-		docs, serr := sh.ix.LexicalSearch(rts[i], req.TextCol, req.Vector, toks, global, req.K)
-		perLex[i] = docs
-		return serr
+		noCache: req.NoCache,
+		key: func() rescache.Key {
+			// The vector leg fingerprints like Search; the lexical and
+			// fusion parameters join it (rescache tokenizes Text, so
+			// queries equal after tokenization share one entry).
+			k := vectorLegKey(rescache.KindHybrid, vreq)
+			k.Text, k.TextCol, k.FusionK = req.Text, req.TextCol, req.FusionK
+			k.Weighted, k.VectorWeight, k.TextWeight = req.Weighted, req.VectorWeight, req.TextWeight
+			return rescache.KeyOf(k)
+		},
+		clone: func(r *HybridResponse) *HybridResponse {
+			return &HybridResponse{Results: append([]HybridResult(nil), r.Results...), Plan: r.Plan}
+		},
+		size: func(r *HybridResponse) int64 {
+			n := int64(96)
+			for _, res := range r.Results {
+				n += 64 + int64(len(res.ID))
+			}
+			return n
+		},
+		outSize: func(o hybridShardOut) int64 {
+			n := candsSize(o.vec.res)
+			for tok := range o.stats.DocFreq {
+				n += 24 + int64(len(tok))
+			}
+			return n
+		},
+		filterHeavy: len(req.Filters) >= filterHeavyFilters,
+		empty:       func(resp *HybridResponse) bool { return len(resp.Results) == 0 },
 	})
-	if err != nil {
-		return nil, err
-	}
-	lex := mergeLexical(perLex, req.K)
-
-	return &HybridResponse{
-		Results: fuseHybrid(req, vecResp.Results, lex),
-		Plan:    vecResp.Plan,
-	}, nil
 }
 
 // mergeLexical merges per-shard BM25 top-K lists into the global top-K,
 // ordered by (score desc, asset id asc) — the same total order every shard
 // (and a single store) cuts by, so the merged list equals a single store's.
+// A single list is already in that order.
 func mergeLexical(per [][]ivf.LexicalDoc, k int) []ivf.LexicalDoc {
+	if len(per) == 1 {
+		return per[0]
+	}
 	var all []ivf.LexicalDoc
 	for _, docs := range per {
 		all = append(all, docs...)
 	}
-	sortLexical(all)
+	// Asset ids are globally unique, so this is a total order; vids are
+	// not comparable across topologies and must not be used here.
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].AssetID < all[j].AssetID
+	})
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
-}
-
-// sortLexical orders docs by descending BM25 score, ties by ascending asset
-// id (asset ids are globally unique, so this is a total order — vids are
-// not comparable across topologies and must not be used here).
-func sortLexical(docs []ivf.LexicalDoc) {
-	sort.Slice(docs, func(i, j int) bool {
-		if docs[i].Score != docs[j].Score {
-			return docs[i].Score > docs[j].Score
-		}
-		return docs[i].AssetID < docs[j].AssetID
-	})
-}
-
-// HybridSearch runs the fused query against the pinned shard snapshots.
-func (s *ShardedSnapshot) HybridSearch(req HybridRequest) (*HybridResponse, error) {
-	s.db.hybridSearches.Add(1)
-	return s.db.hybridOn(s.rts, req)
 }

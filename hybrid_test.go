@@ -160,26 +160,20 @@ func TestHybridValidation(t *testing.T) {
 }
 
 // TestHybridShardedEqualsSingle loads the same corpus into a single store
-// and a 3-shard store and requires identical fused rankings — ids, fused
-// scores, BM25 scores, distances and leg ranks — across quantization
-// schemes. The vector leg runs Exact so per-shard probe-splitting cannot
-// introduce recall differences; lexical determinism is what's under test
-// (global df/N aggregation plus asset-ordered tie-breaks).
+// and into 1- and 3-shard stores and requires identical fused rankings —
+// ids, fused scores, BM25 scores, distances and leg ranks — across
+// quantization schemes. The vector leg runs Exact so per-shard
+// probe-splitting cannot introduce recall differences; lexical determinism
+// is what's under test (global df/N aggregation plus asset-ordered
+// tie-breaks).
 func TestHybridShardedEqualsSingle(t *testing.T) {
 	for _, quant := range []Quantization{QuantNone, QuantSQ8, QuantSQ4} {
 		t.Run(fmt.Sprintf("quant-%v", quant), func(t *testing.T) {
 			opts := hybridTestOpts(8)
 			opts.Quantization = quant
 			single := openTest(t, opts)
-			sopts := opts
-			sopts.Shards = 3
-			sharded := openShardedTest(t, filepath.Join(t.TempDir(), "shards"), sopts)
-
 			items := hybridItems(31, 500, 8)
 			if err := single.UpsertBatch(items); err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.UpsertBatch(items); err != nil {
 				t.Fatal(err)
 			}
 			queries := []HybridRequest{
@@ -191,20 +185,30 @@ func TestHybridShardedEqualsSingle(t *testing.T) {
 				{Text: "cat", K: 10, Exact: true, Weighted: true, VectorWeight: 0, TextWeight: 1},
 			}
 			vecs := randomVecs(55, len(queries), 8)
-			for qi, req := range queries {
-				req.Vector = vecs[qi]
-				a, err := single.HybridSearch(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := sharded.HybridSearch(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a.Results, b.Results) {
-					t.Errorf("query %d (%q): single and sharded rankings differ\nsingle:  %+v\nsharded: %+v",
-						qi, req.Text, a.Results, b.Results)
-				}
+			for _, shards := range []int{1, 3} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					sopts := opts
+					sopts.Shards = shards
+					sharded := openShardedTest(t, filepath.Join(t.TempDir(), "shards"), sopts)
+					if err := sharded.UpsertBatch(items); err != nil {
+						t.Fatal(err)
+					}
+					for qi, req := range queries {
+						req.Vector = vecs[qi]
+						a, err := single.HybridSearch(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := sharded.HybridSearch(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(a.Results, b.Results) {
+							t.Errorf("query %d (%q): single and sharded rankings differ\nsingle:  %+v\nsharded: %+v",
+								qi, req.Text, a.Results, b.Results)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package quant
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 	"unsafe"
 
 	"micronn/internal/vec"
@@ -64,10 +65,13 @@ type Query struct {
 	normLut []float32
 
 	// sq8LUT is the SQ8 L2 scan table — dim rows of 256 entries where
-	// sq8LUT[d*256+c] = c*(quad[d]*c - lin[d]) — built lazily by the first
-	// large DistancesMany call, where its O(dim*256) construction cost
-	// amortizes across the scan.
-	sq8LUT []float32
+	// sq8LUT[d*256+c] = c*(quad[d]*c - lin[d]) — built once, through
+	// sq8Once, by the first large DistancesMany call, where its O(dim*256)
+	// construction cost amortizes across the scan. Scan workers share one
+	// Query, so the table is read only after sq8Once.Do returns: every
+	// reader sees it filled.
+	sq8Once sync.Once
+	sq8LUT  []float32
 }
 
 // CodeSize returns the byte stride of the codes this query scans.
@@ -202,6 +206,21 @@ func (qq *Query) finishCosine(dot, nv2 float32) float32 {
 	return 1 - dot/(qq.qNorm*float32(math.Sqrt(float64(nv2))))
 }
 
+// buildSQ8LUT fills the SQ8 L2 scan table (see Query.sq8LUT).
+func (qq *Query) buildSQ8LUT() {
+	cs := qq.codeSize
+	lut := make([]float32, cs*256)
+	for d := 0; d < cs; d++ {
+		l, q := qq.lin[d], qq.quad[d]
+		row := lut[d*256 : (d+1)*256]
+		for c := 0; c < 256; c++ {
+			x := float32(c)
+			row[c] = x * (q*x - l)
+		}
+	}
+	qq.sq8LUT = lut
+}
+
 // DistancesMany computes distances from the query to n consecutive codes
 // packed in codes (n * CodeSize bytes), writing into out[:n]. The hot L2
 // paths run blocked multi-row kernels; other metrics fall back to the
@@ -213,29 +232,20 @@ func (qq *Query) DistancesMany(codes []byte, n int, out []float32) {
 		// re-evaluating the polynomial per byte; small scans stay on the
 		// blocked polynomial kernel.
 		const lutThreshold = 32
-		if qq.sq8LUT == nil && n >= lutThreshold {
-			qq.sq8LUT = make([]float32, cs*256)
-			for d := 0; d < cs; d++ {
-				l, q := qq.lin[d], qq.quad[d]
-				row := qq.sq8LUT[d*256 : (d+1)*256]
-				for c := 0; c < 256; c++ {
-					x := float32(c)
-					row[c] = x * (q*x - l)
-				}
-			}
-		}
-		if qq.sq8LUT != nil {
+		if n >= lutThreshold {
+			qq.sq8Once.Do(qq.buildSQ8LUT)
+			lut := qq.sq8LUT
 			// Rows are independent, so interleaving two per pass doubles
 			// the in-flight table loads and hides their latency (the
 			// dim*256 table outgrows L1 at typical dims).
 			i := 0
 			for ; i+2 <= n; i += 2 {
-				r0, r1 := lutAcc2(codes[i*cs:(i+1)*cs], codes[(i+1)*cs:(i+2)*cs], qq.sq8LUT)
+				r0, r1 := lutAcc2(codes[i*cs:(i+1)*cs], codes[(i+1)*cs:(i+2)*cs], lut)
 				out[i] = qq.constant + r0
 				out[i+1] = qq.constant + r1
 			}
 			if i < n {
-				out[i] = qq.constant + lutAcc(codes[i*cs:(i+1)*cs], qq.sq8LUT)
+				out[i] = qq.constant + lutAcc(codes[i*cs:(i+1)*cs], lut)
 			}
 			return
 		}

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"micronn/internal/vec"
@@ -149,6 +150,50 @@ func TestDistancesMany(t *testing.T) {
 		// than the single-row kernel, so allow float rounding slack.
 		if diff := math.Abs(float64(out[i] - want)); diff > 1e-4*(1+math.Abs(float64(want))) {
 			t.Fatalf("row %d: %v != %v", i, out[i], want)
+		}
+	}
+}
+
+// TestDistancesManySharedQuery drives the SQ8 L2 table scan the way the
+// partition scan workers do: many goroutines share one Query, and the
+// first call of at least 32 rows builds the lookup table the others read.
+// Every result must equal a single-threaded scan bit for bit; a table
+// published before it is filled shows up as a mismatch (and as a race
+// under -race).
+func TestDistancesManySharedQuery(t *testing.T) {
+	const dim, n, workers, rounds = 64, 96, 8, 20
+	vectors := randVectors(7, n, dim, 3)
+	cb := trainOn(vectors)
+	var packed []byte
+	for _, v := range vectors {
+		packed = cb.Encode(packed, v)
+	}
+	queries := randVectors(8, rounds, dim, 3)
+	for r, q := range queries {
+		want := make([]float32, n)
+		cb.NewQuery(vec.L2, q).DistancesMany(packed, n, want)
+
+		shared := cb.NewQuery(vec.L2, q)
+		got := make([][]float32, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Workers scan different row counts (all >= 32), like
+				// partitions of different sizes.
+				rows := n - 8*w%64
+				got[w] = make([]float32, rows)
+				shared.DistancesMany(packed, rows, got[w])
+			}(w)
+		}
+		wg.Wait()
+		for w, out := range got {
+			for i, d := range out {
+				if math.Float32bits(d) != math.Float32bits(want[i]) {
+					t.Fatalf("round %d worker %d row %d: %v, single-threaded %v", r, w, i, d, want[i])
+				}
+			}
 		}
 	}
 }

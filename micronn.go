@@ -46,9 +46,23 @@
 // Every actionable failure wraps one of four sentinels — ErrNotFound,
 // ErrClosed, ErrDimMismatch, ErrBadRequest — so callers branch with
 // errors.Is rather than matching message text. Request validation runs
-// through one shared normalization path for every entry point (DB,
-// Snapshot, ShardedDB, cached or not), so defaulting of K, NProbe and
-// RerankFactor cannot drift between them.
+// through the query pipeline's one normalization path for every entry
+// point (DB, ShardedDB, Snapshot, cached or not), so defaulting of K,
+// NProbe and RerankFactor cannot drift between them. Vectors with a NaN or
+// ±Inf component are rejected with ErrBadRequest, in queries and in writes
+// alike (a rejected UpsertBatch writes none of its items).
+//
+// # Query pipeline
+//
+// There is one query pipeline, a router over a list of shards: a DB runs
+// its queries through a router over itself (one shard), a ShardedDB
+// through a router over its N shards, and a Snapshot is the same router
+// pinned to one read transaction per shard. Each query kind — Search,
+// BatchSearch, HybridSearch — is a per-shard scan plus a merge, executed by
+// one runner for live and snapshot reads, with and without the result
+// cache. With one shard the scan runs inline and asks the index for final
+// results, so a single store's scan and rerank run unchanged and its merge
+// is a cut to K.
 //
 // # Maintenance
 //
@@ -142,7 +156,9 @@
 // Stats.Cache reports hits, misses, invalidations and bytes; DropCaches
 // clears cached results along with the other caches. The cache is
 // process-local and never persisted, so crash recovery cannot resurrect a
-// stale entry.
+// stale entry. Snapshot reads bypass it on both database flavors: a
+// snapshot answers from its own horizon and never stores entries stamped
+// with it.
 //
 // # Sharding
 //
@@ -150,14 +166,14 @@
 // stores under one directory — each shard has its own page file, WAL, IVF
 // index, SQ8 codebook and background maintainer, and a manifest pins the
 // shard count and hash seed so every reopen routes identically (topology
-// mismatches fail fast). Point operations touch exactly one shard; Search
-// and BatchSearch scatter to every shard in parallel, spread the NProbe
-// budget over the shard set, and merge the per-shard candidates — on a
-// quantized database the pooled top RerankFactor*K candidates are reranked
-// exactly on their owning shards, so recall matches a single store. Stats,
-// Maintain and Snapshot aggregate across shards; Close drains every
-// shard's maintainer. Batched writes commit one transaction per shard
-// (atomic per shard, not across shards).
+// mismatches fail fast). Point operations touch exactly one shard; queries
+// run through the router pipeline, which scans every shard in parallel,
+// spreads the NProbe budget over the shard set, and merges the per-shard
+// candidates — on a quantized database the pooled top RerankFactor*K
+// candidates are reranked exactly on their owning shards, so recall
+// matches a single store. Stats, Maintain and Snapshot aggregate across
+// shards; Close drains every shard's maintainer. Batched writes commit one
+// transaction per shard (atomic per shard, not across shards).
 //
 //	sdb, err := micronn.OpenSharded("photos.d", micronn.Options{Dim: 128, Shards: 4})
 //
@@ -553,22 +569,13 @@ type ResultCacheOptions struct {
 	// they are tiny, and generation validation still invalidates them the
 	// moment a write commits.
 	AdmissionTTL time.Duration
-
-	// ignoreEnv suppresses the MICRONN_TEST_CACHE override — set on the
-	// per-shard Options by OpenSharded, whose router-level cache already
-	// honors it (shard-level caches under a router would never be
-	// consulted, only waste memory).
-	ignoreEnv bool
 }
 
 // resolve applies the environment override and defaults, returning the
-// cache to use (nil when disabled).
+// cache to use (nil when disabled). Only Open and OpenSharded call it: the
+// stores under a sharded router never get a cache of their own.
 func (o ResultCacheOptions) resolve() *rescache.Cache {
-	enabled := o.Enabled
-	if !o.ignoreEnv && os.Getenv(EnvCacheVar) == "1" {
-		enabled = true
-	}
-	if !enabled {
+	if !o.Enabled && os.Getenv(EnvCacheVar) != "1" {
 		return nil
 	}
 	c := rescache.New(o.MaxEntries, o.MaxBytes)
@@ -580,28 +587,13 @@ func (o ResultCacheOptions) resolve() *rescache.Cache {
 // for cache admission (see ResultCacheOptions.AdmissionTTL).
 const filterHeavyFilters = 2
 
-// searchPutPolicy classifies a search response for cache admission.
-func searchPutPolicy(nFilters int, resp *SearchResponse) rescache.PutPolicy {
-	return rescache.PutPolicy{
-		FilterHeavy: nFilters >= filterHeavyFilters,
-		Negative:    len(resp.Results) == 0,
-	}
-}
-
-// batchPutPolicy classifies a batch response: negative only when every
-// query came back empty (batches carry no filters, so never filter-heavy).
-func batchPutPolicy(resp *BatchSearchResponse) rescache.PutPolicy {
-	for _, rs := range resp.Results {
-		if len(rs) > 0 {
-			return rescache.PutPolicy{}
-		}
-	}
-	return rescache.PutPolicy{Negative: true}
-}
-
 // DB is an embedded MicroNN database. All methods are safe for concurrent
 // use: reads run against consistent snapshots, writes are serialized.
+// Queries run through the embedded router, here over the one shard the DB
+// itself is.
 type DB struct {
+	router
+
 	store *storage.Store
 	rdb   *reldb.DB
 	ix    *ivf.Index
@@ -619,12 +611,6 @@ type DB struct {
 	// split, which spans a read and a write transaction the storage layer
 	// cannot fence as one unit — always completes against a live store.
 	opMu sync.RWMutex
-
-	// cache is the generation-versioned result cache (nil when disabled).
-	cache *rescache.Cache
-
-	// hybridSearches counts HybridSearch calls (surfaced via Stats).
-	hybridSearches atomic.Uint64
 
 	// ing is the LSM ingest committer (nil unless Options.LSMIngest).
 	ing *ingester
@@ -658,6 +644,12 @@ type Result struct {
 
 // Open opens or creates a MicroNN database at path.
 func Open(path string, opts Options) (*DB, error) {
+	return open(path, opts, opts.ResultCache.resolve())
+}
+
+// open opens one store with the given result cache (nil for the shards of
+// a sharded database, whose router holds the cache).
+func open(path string, opts Options, cache *rescache.Cache) (*DB, error) {
 	// Validate create-time options up front: an unknown quantization or an
 	// out-of-range clip percentile must fail loudly here, not be persisted.
 	switch opts.Quantization {
@@ -760,7 +752,8 @@ func Open(path string, opts Options) (*DB, error) {
 		opts.FlushThreshold = ix.Config().TargetPartitionSize
 	}
 	ix.SetZonePruning(!opts.DisableZonePruning)
-	db := &DB{store: store, rdb: rdb, ix: ix, opts: opts, cache: opts.ResultCache.resolve()}
+	db := &DB{store: store, rdb: rdb, ix: ix, opts: opts}
+	db.shards, db.cache = []*DB{db}, cache
 	if opts.LSMIngest {
 		db.ing = newIngester(db)
 		go db.ing.run()
@@ -855,10 +848,13 @@ func (db *DB) UpsertBatch(items []Item) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
+	if err := checkItems(items, db.Dim()); err != nil {
+		return err
+	}
 	if db.ing != nil {
 		return db.ing.upsert(items)
 	}
-	err := db.store.Update(func(wt *storage.WriteTxn) error {
+	return db.store.Update(func(wt *storage.WriteTxn) error {
 		for _, item := range items {
 			attrs, err := convertAttrs(item.Attributes)
 			if err != nil {
@@ -870,10 +866,17 @@ func (db *DB) UpsertBatch(items []Item) error {
 		}
 		return nil
 	})
-	if errors.Is(err, ivf.ErrDimMismatch) {
-		return fmt.Errorf("%w: %v", ErrDimMismatch, err)
+}
+
+// checkItems validates every vector of a write batch before any of it is
+// applied, so a rejected batch writes nothing.
+func checkItems(items []Item, dim int) error {
+	for _, item := range items {
+		if err := checkVector(item.Vector, dim); err != nil {
+			return fmt.Errorf("item %q: %w", item.ID, err)
+		}
 	}
-	return err
+	return nil
 }
 
 // Delete removes the item with the given id.
@@ -926,8 +929,8 @@ func (db *DB) Get(id string) (*Item, error) {
 }
 
 // getItem fetches one item at txn's snapshot, translating the index's
-// not-found error and converting attributes — shared by DB.Get,
-// Snapshot.Get and ShardedSnapshot.Get.
+// not-found error and converting attributes — shared by DB.Get and
+// Snapshot.Get.
 func getItem(ix *ivf.Index, txn btree.ReadTxn, id string) (*Item, error) {
 	v, attrs, err := ix.GetVector(txn, id)
 	if errors.Is(err, ivf.ErrNotFound) {
@@ -1127,25 +1130,6 @@ type SearchResponse struct {
 	Plan    PlanInfo
 }
 
-// searchAt runs the query at rt's snapshot (the uncached core).
-func (db *DB) searchAt(rt *storage.ReadTxn, req SearchRequest) (*SearchResponse, error) {
-	res, info, err := db.ix.Search(rt, req.Vector, ivf.SearchOptions{
-		K: req.K, NProbe: req.NProbe, Filters: req.Filters,
-		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
-	})
-	if err != nil {
-		if errors.Is(err, ivf.ErrDimMismatch) {
-			return nil, fmt.Errorf("%w: %v", ErrDimMismatch, err)
-		}
-		return nil, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.AssetID, Distance: r.Distance}
-	}
-	return &SearchResponse{Results: out, Plan: *info}, nil
-}
-
 // Search runs a K-nearest-neighbour query. With the result cache enabled a
 // repeat of a semantically identical query is served from the cache as
 // long as the store's data generation has not moved — the response is then
@@ -1154,194 +1138,7 @@ func (db *DB) Search(req SearchRequest) (*SearchResponse, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := db.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	if db.cache == nil || req.NoCache {
-		var resp *SearchResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var serr error
-			resp, serr = db.searchAt(rt, req)
-			return serr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.searchCacheKey(req), cloneSearchResponse, searchResponseSize,
-		func(resp *SearchResponse) rescache.PutPolicy { return searchPutPolicy(len(req.Filters), resp) },
-		func(rt *storage.ReadTxn) (*SearchResponse, error) { return db.searchAt(rt, req) })
-}
-
-// flightResult carries a singleflight computation's response together with
-// the generations its snapshot observed, so joiners can revalidate.
-type flightResult[T any] struct {
-	resp T
-	gens []int64
-}
-
-// cachedQuery runs the cached-query protocol for a single-store query:
-//
-//  1. Fast path: a counted lookup at a fresh snapshot's generation serves
-//     a valid entry without entering the flight (concurrent hits never
-//     serialize).
-//  2. Miss or stale: concurrent identical computations coalesce in a
-//     singleflight. The leader re-validates at its own snapshot (another
-//     flight may have just filled the entry), computes, and stores the
-//     response stamped with the generation it was computed at — never a
-//     newer counter.
-//  3. A caller that merely JOINED a flight re-validates the shared result:
-//     the flight's snapshot may predate the caller's (the caller could
-//     already have observed a later write, e.g. its own), so the shared
-//     response is served only when its generations equal the ones the
-//     caller read itself; otherwise the caller recomputes at a fresh
-//     snapshot. This preserves read-your-writes under coalescing.
-//
-// run executes the query at a pinned snapshot; clone copies the shared
-// cached value before handing it to the caller; size feeds the byte
-// budget.
-func cachedQuery[T any](db *DB, key rescache.Key, clone func(T) T, size func(T) int64, pol func(T) rescache.PutPolicy, run func(*storage.ReadTxn) (T, error)) (T, error) {
-	var zero T
-	readGen := func() ([]int64, error) {
-		rt, err := db.store.BeginRead()
-		if err != nil {
-			return nil, err
-		}
-		defer rt.Close()
-		gen, err := db.ix.DataGeneration(rt)
-		if err != nil {
-			return nil, err
-		}
-		return []int64{gen}, nil
-	}
-	compute := func() (T, []int64, error) {
-		rt, err := db.store.BeginRead()
-		if err != nil {
-			return zero, nil, err
-		}
-		defer rt.Close()
-		gen, err := db.ix.DataGeneration(rt)
-		if err != nil {
-			return zero, nil, err
-		}
-		gens := []int64{gen}
-		if v, _, out := db.cache.Lookup(key, gens); out == rescache.Hit {
-			return v.(T), gens, nil
-		}
-		resp, err := run(rt)
-		if err != nil {
-			return zero, nil, err
-		}
-		db.cache.PutWithPolicy(key, gens, resp, size(resp), pol(resp))
-		return resp, gens, nil
-	}
-
-	gens, err := readGen()
-	if err != nil {
-		return zero, err
-	}
-	if v, _, out := db.cache.Get(key, gens); out == rescache.Hit {
-		return clone(v.(T)), nil
-	}
-	v, shared, err := db.cache.Do(key, func() (any, error) {
-		resp, fgens, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return flightResult[T]{resp: resp, gens: fgens}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	fr := v.(flightResult[T])
-	if shared && !rescache.GensEqual(fr.gens, gens) {
-		resp, _, err := compute()
-		if err != nil {
-			return zero, err
-		}
-		return clone(resp), nil
-	}
-	return clone(fr.resp), nil
-}
-
-// searchCacheKey fingerprints req in canonical form. Database-insensitive
-// knobs are normalized here so equal-by-behavior requests collide: the
-// engine's K/NProbe defaults are applied, NProbe and RerankFactor are
-// zeroed under Exact (the exhaustive path reads neither), RerankFactor is
-// zeroed on unquantized stores (it is ignored there) and resolved to the
-// configured default on quantized ones, and the plan override is zeroed
-// for filterless queries (there is no pre/post choice without filters).
-func (db *DB) searchCacheKey(req SearchRequest) rescache.Key {
-	return rescache.KeyOf(rescache.Request{
-		Kind:         rescache.KindSearch,
-		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, req.Exact),
-		RerankFactor: db.canonRerank(req.RerankFactor, req.Exact),
-		Plan:         canonPlan(req.Plan, req.Filters),
-		Exact:        req.Exact,
-		Vectors:      [][]float32{req.Vector},
-		Filters:      req.Filters,
-	})
-}
-
-func (db *DB) canonNProbe(nprobe int, exact bool) int {
-	if exact {
-		return 0
-	}
-	if nprobe <= 0 {
-		return 8
-	}
-	return nprobe
-}
-
-func (db *DB) canonRerank(rr int, exact bool) int {
-	if exact || db.ix.Config().Quantization == QuantNone {
-		return 0
-	}
-	if rr <= 0 {
-		return db.ix.Config().RerankFactor
-	}
-	return rr
-}
-
-func canonPlan(p PlanType, filters []Filter) int {
-	if len(filters) == 0 {
-		return 0
-	}
-	return int(p)
-}
-
-// cloneSearchResponse copies a cached response before handing it to a
-// caller: cached values are shared, and callers own what they receive.
-func cloneSearchResponse(r *SearchResponse) *SearchResponse {
-	return &SearchResponse{Results: append([]Result(nil), r.Results...), Plan: r.Plan}
-}
-
-func cloneBatchSearchResponse(r *BatchSearchResponse) *BatchSearchResponse {
-	out := &BatchSearchResponse{Results: make([][]Result, len(r.Results)), Info: r.Info}
-	for i, rs := range r.Results {
-		out.Results[i] = append([]Result(nil), rs...)
-	}
-	return out
-}
-
-// searchResponseSize estimates a response's memory footprint for the
-// cache's byte budget.
-func searchResponseSize(r *SearchResponse) int64 {
-	n := int64(96)
-	for _, res := range r.Results {
-		n += 24 + int64(len(res.ID))
-	}
-	return n
-}
-
-func batchSearchResponseSize(r *BatchSearchResponse) int64 {
-	n := int64(96)
-	for _, rs := range r.Results {
-		n += 24
-		for _, res := range rs {
-			n += 24 + int64(len(res.ID))
-		}
-	}
-	return n
+	return db.search(nil, req)
 }
 
 // BatchSearchRequest parameterizes BatchSearch.
@@ -1369,25 +1166,6 @@ type BatchSearchResponse struct {
 	Info    BatchInfo
 }
 
-// batchSearchAt runs the batch at rt's snapshot (the uncached core).
-func (db *DB) batchSearchAt(rt *storage.ReadTxn, queries *vec.Matrix, req BatchSearchRequest) (*BatchSearchResponse, error) {
-	res, info, err := db.ix.BatchSearch(rt, queries, ivf.BatchOptions{K: req.K, NProbe: req.NProbe, RerankFactor: req.RerankFactor})
-	if err != nil {
-		if errors.Is(err, ivf.ErrDimMismatch) {
-			return nil, fmt.Errorf("%w: %v", ErrDimMismatch, err)
-		}
-		return nil, err
-	}
-	out := make([][]Result, len(res))
-	for qi, rs := range res {
-		out[qi] = make([]Result, len(rs))
-		for i, r := range rs {
-			out[qi][i] = Result{ID: r.AssetID, Distance: r.Distance}
-		}
-	}
-	return &BatchSearchResponse{Results: out, Info: *info}, nil
-}
-
 // BatchSearch executes many queries with multi-query optimization: each
 // needed IVF partition is scanned once and shared across all queries that
 // probe it, which cuts amortized per-query latency substantially for large
@@ -1398,41 +1176,7 @@ func (db *DB) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) 
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := db.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Vectors) == 0 {
-		return &BatchSearchResponse{}, nil
-	}
-	dim := db.ix.Config().Dim
-	queries := vec.NewMatrix(len(req.Vectors), dim)
-	for i, q := range req.Vectors {
-		queries.SetRow(i, q)
-	}
-	if db.cache == nil || req.NoCache {
-		var resp *BatchSearchResponse
-		err := db.store.View(func(rt *storage.ReadTxn) error {
-			var berr error
-			resp, berr = db.batchSearchAt(rt, queries, req)
-			return berr
-		})
-		return resp, err
-	}
-	return cachedQuery(db, db.batchCacheKey(req), cloneBatchSearchResponse, batchSearchResponseSize,
-		batchPutPolicy,
-		func(rt *storage.ReadTxn) (*BatchSearchResponse, error) { return db.batchSearchAt(rt, queries, req) })
-}
-
-// batchCacheKey fingerprints a batch request (vector order preserved —
-// results are positional).
-func (db *DB) batchCacheKey(req BatchSearchRequest) rescache.Key {
-	return rescache.KeyOf(rescache.Request{
-		Kind:         rescache.KindBatch,
-		K:            req.K,
-		NProbe:       db.canonNProbe(req.NProbe, false),
-		RerankFactor: db.canonRerank(req.RerankFactor, false),
-		Vectors:      req.Vectors,
-	})
+	return db.batchSearch(nil, req)
 }
 
 // --- maintenance ---

@@ -474,9 +474,8 @@ func TestShardedCachePartialReuse(t *testing.T) {
 }
 
 // TestShardedSnapshotDoesNotPolluteCache: a long-lived snapshot pinned to
-// an old horizon may read through the cache but must never store entries —
-// an entry stamped with old generations would displace the entry live
-// traffic still needs.
+// an old horizon must never store entries — an entry stamped with old
+// generations would displace the entry live traffic still needs.
 func TestShardedSnapshotDoesNotPolluteCache(t *testing.T) {
 	dim := shardTestDim
 	sdb := openShardedTest(t, filepath.Join(t.TempDir(), "snappollute.d"), Options{

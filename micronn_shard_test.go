@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -50,12 +51,13 @@ func openShardedTest(t testing.TB, dir string, opts Options) *ShardedDB {
 	return sdb
 }
 
-// mirror applies the same randomized op stream to a single-store DB and a
-// sharded DB, tracking the expected live set.
+// mirror applies the same randomized op stream to a single-store DB, a
+// sharded DB and a one-shard ShardedDB, tracking the expected live set.
 type mirror struct {
 	t      *testing.T
 	single *DB
 	shard  *ShardedDB
+	one    *ShardedDB
 	live   map[string][]float32
 }
 
@@ -67,6 +69,9 @@ func (m *mirror) upsertBatch(items []Item) {
 	if err := m.shard.UpsertBatch(items); err != nil {
 		m.t.Fatal(err)
 	}
+	if err := m.one.UpsertBatch(items); err != nil {
+		m.t.Fatal(err)
+	}
 	for _, it := range items {
 		m.live[it.ID] = it.Vector
 	}
@@ -76,11 +81,12 @@ func (m *mirror) delete(id string) {
 	m.t.Helper()
 	err1 := m.single.Delete(id)
 	err2 := m.shard.Delete(id)
+	err3 := m.one.Delete(id)
 	switch {
-	case err1 == nil && err2 == nil:
-	case errors.Is(err1, ErrNotFound) && errors.Is(err2, ErrNotFound):
+	case err1 == nil && err2 == nil && err3 == nil:
+	case errors.Is(err1, ErrNotFound) && errors.Is(err2, ErrNotFound) && errors.Is(err3, ErrNotFound):
 	default:
-		m.t.Fatalf("delete %q semantics diverge: single=%v sharded=%v", id, err1, err2)
+		m.t.Fatalf("delete %q semantics diverge: single=%v sharded=%v one-shard=%v", id, err1, err2, err3)
 	}
 	delete(m.live, id)
 }
@@ -105,10 +111,12 @@ func recallAgainst(exact, got []Result) float64 {
 
 // TestShardedEquivalence is the equivalence property test: a randomized
 // workload of upserts, deletes and re-upserts is applied identically to a
-// single-store DB and a 3-shard DB (float32, SQ8 and SQ4), and the sharded
-// Search/BatchSearch recall@10 must stay within 1 point of the single
-// store's, measured against exact ground truth; Get and Delete semantics
-// must match exactly.
+// single-store DB, a 3-shard DB and a 1-shard DB (float32, SQ8 and SQ4).
+// The 3-shard Search/BatchSearch recall@10 must stay within 1 point of the
+// single store's, measured against exact ground truth; Get and Delete
+// semantics must match exactly. A single store and a one-shard router run
+// the same pipeline, so their Search and BatchSearch responses must be
+// identical, live and on snapshots.
 func TestShardedEquivalence(t *testing.T) {
 	for _, qt := range []Quantization{QuantNone, QuantSQ8, QuantSQ4} {
 		t.Run(qt.String(), func(t *testing.T) {
@@ -123,8 +131,11 @@ func TestShardedEquivalence(t *testing.T) {
 			shOpts := opts
 			shOpts.Shards = 3
 			sharded := openShardedTest(t, filepath.Join(t.TempDir(), "sharded.d"), shOpts)
+			oneOpts := opts
+			oneOpts.Shards = 1
+			one := openShardedTest(t, filepath.Join(t.TempDir(), "one.d"), oneOpts)
 
-			m := &mirror{t: t, single: single, shard: sharded, live: make(map[string][]float32)}
+			m := &mirror{t: t, single: single, shard: sharded, one: one, live: make(map[string][]float32)}
 			vecs := clusteredVecs(seed, 1200, shardTestDim, 12)
 			mkItems := func(lo, hi int) []Item {
 				items := make([]Item, 0, hi-lo)
@@ -143,6 +154,9 @@ func TestShardedEquivalence(t *testing.T) {
 			if _, err := m.shard.Rebuild(); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := m.one.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
 			m.upsertBatch(mkItems(600, 900))
 			for i := 0; i < 150; i++ {
 				m.delete(fmt.Sprintf("v%04d", rng.Intn(900)))
@@ -157,6 +171,9 @@ func TestShardedEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := m.shard.Maintain(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.one.Maintain(); err != nil {
 				t.Fatal(err)
 			}
 
@@ -232,6 +249,58 @@ func TestShardedEquivalence(t *testing.T) {
 			batchShard /= float64(len(queries))
 			if batchShard < batchSingle-0.01 {
 				t.Errorf("sharded batch recall@10 %.3f more than 1pt below single-store %.3f", batchShard, batchSingle)
+			}
+
+			// One shard: identical responses to the single store, live and
+			// on snapshots.
+			snap1, err := m.single.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap1.Close()
+			snapOne, err := m.one.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snapOne.Close()
+			pairs := []struct {
+				name string
+				a, b interface {
+					Search(SearchRequest) (*SearchResponse, error)
+					BatchSearch(BatchSearchRequest) (*BatchSearchResponse, error)
+				}
+			}{{"live", m.single, m.one}, {"snapshot", snap1, snapOne}}
+			for _, p := range pairs {
+				for qi, q := range queries {
+					for _, req := range []SearchRequest{
+						{Vector: q, K: 10, NProbe: 8},
+						{Vector: q, K: 10, Exact: true},
+					} {
+						a, err := p.a.Search(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := p.b.Search(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Fatalf("%s query %d (exact=%v): single store and one-shard router differ\nsingle:    %+v\none-shard: %+v",
+								p.name, qi, req.Exact, a, b)
+						}
+					}
+				}
+				a, err := p.a.BatchSearch(breq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := p.b.BatchSearch(breq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s batch: single store and one-shard router differ", p.name)
+				}
 			}
 
 			// Get semantics: every live id returns the same vector from both
@@ -395,56 +464,61 @@ func TestShardedRoutingSpread(t *testing.T) {
 }
 
 // TestShardedSnapshot pins per-shard horizons: writes after Snapshot must
-// stay invisible to it while the live handle sees them.
+// stay invisible to it while the live handle sees them. It runs on one
+// shard (the router over a single store) and on three.
 func TestShardedSnapshot(t *testing.T) {
-	sdb := openShardedTest(t, filepath.Join(t.TempDir(), "snap.d"), Options{Dim: 8, Shards: 2, Seed: 5})
-	vecs := randomVecs(5, 100, 8)
-	items := make([]Item, len(vecs))
-	for i, v := range vecs {
-		items[i] = Item{ID: fmt.Sprintf("s-%d", i), Vector: v}
-	}
-	if err := sdb.UpsertBatch(items); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sdb.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sdb := openShardedTest(t, filepath.Join(t.TempDir(), "snap.d"), Options{Dim: 8, Shards: shards, Seed: 5})
+			vecs := randomVecs(5, 100, 8)
+			items := make([]Item, len(vecs))
+			for i, v := range vecs {
+				items[i] = Item{ID: fmt.Sprintf("s-%d", i), Vector: v}
+			}
+			if err := sdb.UpsertBatch(items); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sdb.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
 
-	snap, err := sdb.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
+			snap, err := sdb.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
 
-	if err := sdb.Upsert(Item{ID: "late", Vector: vecs[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.Get("late"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("snapshot sees post-snapshot write: %v", err)
-	}
-	if _, err := sdb.Get("late"); err != nil {
-		t.Errorf("live handle misses committed write: %v", err)
-	}
-	st, err := snap.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumVectors != 100 {
-		t.Errorf("snapshot NumVectors = %d, want 100", st.NumVectors)
-	}
-	resp, err := snap.Search(SearchRequest{Vector: vecs[1], K: 5, NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) == 0 {
-		t.Error("snapshot search returned nothing")
-	}
-	bresp, err := snap.BatchSearch(BatchSearchRequest{Vectors: vecs[:4], K: 5, NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bresp.Results) != 4 {
-		t.Errorf("snapshot batch returned %d result lists, want 4", len(bresp.Results))
+			if err := sdb.Upsert(Item{ID: "late", Vector: vecs[0]}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Get("late"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("snapshot sees post-snapshot write: %v", err)
+			}
+			if _, err := sdb.Get("late"); err != nil {
+				t.Errorf("live handle misses committed write: %v", err)
+			}
+			st, err := snap.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.NumVectors != 100 {
+				t.Errorf("snapshot NumVectors = %d, want 100", st.NumVectors)
+			}
+			resp, err := snap.Search(SearchRequest{Vector: vecs[1], K: 5, NProbe: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) == 0 {
+				t.Error("snapshot search returned nothing")
+			}
+			bresp, err := snap.BatchSearch(BatchSearchRequest{Vectors: vecs[:4], K: 5, NProbe: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bresp.Results) != 4 {
+				t.Errorf("snapshot batch returned %d result lists, want 4", len(bresp.Results))
+			}
+		})
 	}
 }
 

@@ -5,21 +5,17 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"micronn/internal/ivf"
-	"micronn/internal/rescache"
 	"micronn/internal/storage"
-	"micronn/internal/topk"
-	"micronn/internal/vec"
 )
 
-// Store is the method set shared by DB and ShardedDB — everything except
-// the snapshot constructors, whose concrete snapshot types differ. Code
-// that should run identically against a single store and a sharded one
-// (the CLI, benchmarks, examples) programs against this interface.
+// Store is the method set shared by DB and ShardedDB. Both run their
+// queries through one pipeline — a DB is a one-shard router over itself, a
+// ShardedDB a router over N shards — so code that should run identically
+// against a single store and a sharded one (the CLI, benchmarks, examples)
+// programs against this interface, snapshots included.
 type Store interface {
 	Close() error
 	Dim() int
@@ -31,6 +27,7 @@ type Store interface {
 	Search(SearchRequest) (*SearchResponse, error)
 	HybridSearch(HybridRequest) (*HybridResponse, error)
 	BatchSearch(BatchSearchRequest) (*BatchSearchResponse, error)
+	Snapshot() (*Snapshot, error)
 	Rebuild() (*MaintenanceReport, error)
 	FlushDelta() (*MaintenanceReport, error)
 	Maintain() (*MaintenanceReport, error)
@@ -52,17 +49,19 @@ var (
 // living under one directory whose manifest pins the shard count and hash
 // seed (see storage.Manifest). Items route to shards by a seeded hash of
 // their id: point operations (Upsert, Delete, Get) touch exactly one shard,
-// searches scatter to every shard in parallel and merge the per-shard
-// candidates, and maintenance runs per shard so a split in one shard never
-// stalls writers in another.
+// and maintenance runs per shard so a split in one shard never stalls
+// writers in another.
 //
-// The probe budget is spread over the shard set: each shard scans
-// ceil(NProbe/N) partitions plus its own delta, so the total scanned volume
-// stays comparable to a single store at the same NProbe. On a quantized
-// database the shards return approximate candidates (CandidatesOnly) which
-// are pooled, cut to RerankFactor*K globally, and reranked exactly on their
-// owning shards — recall therefore matches the single-store rerank contract
-// rather than compounding per-shard approximations.
+// Queries run through the same pipeline as a single store, a router, here
+// over N shards: each query kind scans every shard in parallel and merges
+// the per-shard outputs. The probe budget is spread over the shard set —
+// each shard scans ceil(NProbe/N) partitions plus its own delta — so the
+// total scanned volume stays comparable to a single store at the same
+// NProbe. On a quantized database the shards return approximate candidates
+// which are pooled, cut to RerankFactor*K globally, and reranked exactly on
+// their owning shards, so recall matches the single-store rerank contract
+// rather than compounding per-shard approximations. One result cache
+// serves the whole database with per-shard generation validation.
 //
 // Cross-shard guarantees are deliberately weaker than within a shard:
 // UpsertBatch/DeleteBatch commit one transaction per shard (atomic per
@@ -70,25 +69,14 @@ var (
 // horizon (consistent per shard, concurrent cross-shard writes may straddle
 // the horizons). All methods are safe for concurrent use.
 type ShardedDB struct {
+	router
+
 	dir      string
 	manifest storage.Manifest
-	shards   []*DB
 
 	// closed flips once in Close; every later operation observes it and
 	// returns ErrClosed (the same contract as DB.closed).
 	closed atomic.Bool
-
-	// cache is the router-level result cache (nil when disabled). One
-	// cache serves the whole database; entries record one data generation
-	// per shard plus the per-shard candidate sets, so a lookup whose
-	// generations partially match can reuse the unchanged shards'
-	// candidates and re-scan only the shards that moved.
-	cache *rescache.Cache
-
-	// hybridSearches counts router-level HybridSearch calls; ShardedDB.Stats
-	// overlays it on the aggregated shard stats (shards are not bumped, so
-	// the total is not double-counted).
-	hybridSearches atomic.Uint64
 }
 
 // OpenSharded opens or creates a sharded database in dir. On creation
@@ -147,10 +135,6 @@ func OpenSharded(dir string, opts Options) (*ShardedDB, error) {
 
 	shOpts := opts
 	shOpts.Shards = 0
-	// Result caching happens at the router (with per-shard validation);
-	// shard-level caches would never be consulted, so they stay off even
-	// under the MICRONN_TEST_CACHE override.
-	shOpts.ResultCache = ResultCacheOptions{ignoreEnv: true}
 	if shOpts.Backend == BackendDefault {
 		// A manifest-pinned backend applies to every shard; otherwise each
 		// shard auto-detects from its own store header.
@@ -176,9 +160,11 @@ func OpenSharded(dir string, opts Options) (*ShardedDB, error) {
 		}
 	}
 
-	sdb := &ShardedDB{dir: dir, manifest: m, shards: make([]*DB, m.Shards), cache: opts.ResultCache.resolve()}
+	sdb := &ShardedDB{dir: dir, manifest: m}
+	sdb.shards, sdb.seed, sdb.cache = make([]*DB, m.Shards), m.HashSeed, opts.ResultCache.resolve()
 	for i := range sdb.shards {
-		db, err := Open(storage.ShardDBPath(dir, i), shOpts)
+		// Result caching happens at the router; the shards get no cache.
+		db, err := open(storage.ShardDBPath(dir, i), shOpts, nil)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				sdb.shards[j].Close()
@@ -231,10 +217,6 @@ func shardIndex(seed uint64, id string, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *ShardedDB) shardOf(id string) int {
-	return shardIndex(s.manifest.HashSeed, id, len(s.shards))
-}
-
 // Shards returns the shard count.
 func (s *ShardedDB) Shards() int { return len(s.shards) }
 
@@ -276,62 +258,6 @@ func (s *ShardedDB) checkOpen() error {
 	return nil
 }
 
-// scatter runs fn once per shard concurrently and returns the first error.
-func (s *ShardedDB) scatter(fn func(i int, sh *DB) error) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			errs[i] = fn(i, sh)
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scatterCancel is scatter for the search paths: the first shard to fail
-// closes the shared cancel channel, so still-running sibling scans abandon
-// their remaining partitions instead of completing work whose result the
-// gather will discard. fn forwards cancel into its scan's SearchOptions/
-// BatchOptions; a sibling reaped this way reports ivf.ErrCanceled, which
-// is an echo of the original failure, never the returned error.
-func (s *ShardedDB) scatterCancel(fn func(i int, sh *DB, cancel <-chan struct{}) error) error {
-	cancel := make(chan struct{})
-	var once sync.Once
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *DB) {
-			defer wg.Done()
-			err := fn(i, sh, cancel)
-			errs[i] = err
-			if err != nil && !errors.Is(err, ivf.ErrCanceled) {
-				once.Do(func() { close(cancel) })
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	var echo error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ivf.ErrCanceled) {
-			return err
-		}
-		echo = err
-	}
-	return echo
-}
-
 // --- point operations: route by hash ---
 
 // Upsert inserts or replaces one item on its hash-designated shard.
@@ -346,12 +272,17 @@ func (s *ShardedDB) UpsertBatch(items []Item) error {
 	if len(s.shards) == 1 {
 		return s.shards[0].UpsertBatch(items)
 	}
+	// Validate the whole batch first: no shard may commit its part of a
+	// batch another shard rejects.
+	if err := checkItems(items, s.Dim()); err != nil {
+		return err
+	}
 	groups := make([][]Item, len(s.shards))
 	for _, item := range items {
 		i := s.shardOf(item.ID)
 		groups[i] = append(groups[i], item)
 	}
-	return s.scatter(func(i int, sh *DB) error {
+	return s.scatter(func(i int, sh *DB, _ <-chan struct{}) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
@@ -375,7 +306,7 @@ func (s *ShardedDB) DeleteBatch(ids []string) error {
 		i := s.shardOf(id)
 		groups[i] = append(groups[i], id)
 	}
-	return s.scatter(func(i int, sh *DB) error {
+	return s.scatter(func(i int, sh *DB, _ <-chan struct{}) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
@@ -388,662 +319,29 @@ func (s *ShardedDB) Get(id string) (*Item, error) {
 	return s.shards[s.shardOf(id)].Get(id)
 }
 
-// --- scatter-gather search ---
-
-// shardCand tags a per-shard candidate with its source shard: vector ids
-// are only unique within a shard, so the merge orders ties by (distance,
-// shard, vid) to stay deterministic.
-type shardCand struct {
-	topk.Result
-	shard int
-}
-
-func sortShardCands(cs []shardCand) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Distance != cs[j].Distance {
-			return cs[i].Distance < cs[j].Distance
-		}
-		if cs[i].shard != cs[j].shard {
-			return cs[i].shard < cs[j].shard
-		}
-		return cs[i].VectorID < cs[j].VectorID
-	})
-}
-
-// perShardProbe spreads the query's probe budget across the shards: each
-// shard holds ~1/N of the data in proportionally fewer partitions, so
-// probing ceil(NProbe/N) per shard scans about the same number of vectors
-// as a single store probing NProbe.
-func (s *ShardedDB) perShardProbe(nprobe int) int {
-	if nprobe <= 0 {
-		nprobe = 8
-	}
-	per := (nprobe + len(s.shards) - 1) / len(s.shards)
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// rerankBudget resolves the global rerank multiplier times K.
-func (s *ShardedDB) rerankBudget(k, override int) int {
-	rr := override
-	if rr <= 0 {
-		rr = s.shards[0].ix.Config().RerankFactor
-	}
-	if rr < 1 {
-		rr = 1
-	}
-	return k * rr
-}
-
 // Search scatters the query to every shard in parallel and merges the
-// per-shard results (same semantics as DB.Search). On a quantized database
-// the shards return approximate candidates; the pooled top RerankFactor*K
-// are reranked exactly on their owning shards before the final top-K cut.
-// With the result cache enabled, a repeat whose per-shard data generations
-// all still match is served without touching any shard, and a repeat where
-// only some shards changed re-scans just those shards, merging their fresh
-// candidates with the cached ones.
+// per-shard results (same semantics as DB.Search). With the result cache
+// enabled, a repeat whose per-shard data generations all still match is
+// served without touching any shard, and a repeat where only some shards
+// changed re-scans just those shards, merging their fresh candidates with
+// the cached ones.
 func (s *ShardedDB) Search(req SearchRequest) (*SearchResponse, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := s.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache {
-		return s.searchOn(rts, req)
-	}
-	key := s.shards[0].searchCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	// Fast path: a fully valid entry serves without entering the flight.
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneSearchResponse(v.(*shardSearchEntry).resp), nil
-	}
-	// Miss or stale: concurrent identical live queries coalesce into one
-	// scatter; a joiner revalidates the shared result against its own
-	// pinned generations (read-your-writes — see cachedShardedQuery).
-	return cachedShardedQuery(s, key, gens, cloneSearchResponse, func() (*SearchResponse, []int64, error) {
-		return s.cachedSearchOn(rts, req, key, gens, false, true)
-	})
-}
-
-// cachedShardedQuery is the singleflight half of the sharded cached-query
-// protocol (the counterpart of the single-store cachedQuery, for callers
-// that hold pinned per-shard read transactions): the leader computes at
-// its own snapshots; a joiner serves the shared response only when its
-// recorded generations equal the ones the joiner read from its OWN pinned
-// transactions, and otherwise recomputes there — a flight started before
-// this caller's write committed must not answer for it. compute closes
-// over the caller's transactions, so it is always safe to re-run locally.
-func cachedShardedQuery[T any](s *ShardedDB, key rescache.Key, gens []int64, clone func(T) T, compute func() (T, []int64, error)) (T, error) {
-	var zero T
-	v, shared, err := s.cache.Do(key, func() (any, error) {
-		resp, fgens, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return flightResult[T]{resp: resp, gens: fgens}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	fr := v.(flightResult[T])
-	if shared && !rescache.GensEqual(fr.gens, gens) {
-		resp, _, err := compute()
-		if err != nil {
-			return zero, err
-		}
-		return clone(resp), nil
-	}
-	return clone(fr.resp), nil
-}
-
-// readGens reads each shard's data generation at its pinned snapshot.
-func (s *ShardedDB) readGens(rts []*storage.ReadTxn) ([]int64, error) {
-	gens := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		g, err := sh.ix.DataGeneration(rts[i])
-		if err != nil {
-			return nil, err
-		}
-		gens[i] = g
-	}
-	return gens, nil
-}
-
-// beginReads opens one read transaction per shard. Each pins its own
-// shard's commit horizon; see the type comment for the cross-shard
-// consistency contract.
-func (s *ShardedDB) beginReads() ([]*storage.ReadTxn, error) {
-	rts := make([]*storage.ReadTxn, len(s.shards))
-	for i, sh := range s.shards {
-		rt, err := sh.store.BeginRead()
-		if err != nil {
-			closeReads(rts[:i])
-			return nil, err
-		}
-		rts[i] = rt
-	}
-	return rts, nil
-}
-
-func closeReads(rts []*storage.ReadTxn) {
-	for _, rt := range rts {
-		if rt != nil {
-			rt.Close()
-		}
-	}
-}
-
-// shardOut is one shard's scan contribution to a scatter-gather search:
-// the (possibly approximate) candidate set and its execution info. Cached
-// entries retain these per shard so a later query can reuse the unchanged
-// shards' candidates; both fields are treated as immutable once produced.
-type shardOut struct {
-	res  []topk.Result
-	info *ivf.PlanInfo
-}
-
-// shardSearchEntry is the cached form of one scatter-gather search: the
-// per-shard pre-merge candidates for partial reuse plus the merged
-// response served verbatim on a full generation match.
-type shardSearchEntry struct {
-	outs []shardOut
-	resp *SearchResponse
-}
-
-// searchOn is the scatter-gather core, running against pinned per-shard
-// read transactions (shared by Search and ShardedSnapshot.Search). The
-// result cache, when enabled, is consulted against the generations visible
-// at exactly these transactions — so snapshot searches can only be served
-// entries matching their pinned horizon.
-func (s *ShardedDB) searchOn(rts []*storage.ReadTxn, req SearchRequest) (*SearchResponse, error) {
-	if err := s.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	if s.cache == nil || req.NoCache {
-		outs, err := s.searchScatter(rts, req, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.searchMerge(rts, req, outs)
-	}
-	// Snapshot path (live searches go through ShardedDB.Search): consult
-	// the cache against the pinned horizons but store=false — an entry
-	// stamped with an old snapshot's generations would displace entries
-	// the live traffic still needs.
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedSearchOn(rts, req, s.shards[0].searchCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneSearchResponse(resp), nil
-}
-
-// cachedSearchOn validates, serves or recomputes a search at rts'
-// snapshots, whose per-shard data generations the caller read as gens. It
-// returns the shared (cached) response plus the generations it answers
-// for — callers clone before handing the response out. counted controls
-// stats accounting (the singleflight path passes false; its caller already
-// recorded the first outcome). store=false consults the cache without
-// writing it (snapshot searches).
-func (s *ShardedDB) cachedSearchOn(rts []*storage.ReadTxn, req SearchRequest, key rescache.Key, gens []int64, counted, store bool) (*SearchResponse, []int64, error) {
-	var v any
-	var stored []int64
-	var out rescache.Outcome
-	if counted {
-		v, stored, out = s.cache.Get(key, gens)
-	} else {
-		v, stored, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*shardSearchEntry).resp, gens, nil
-	}
-	var reuse []*shardOut
-	if out == rescache.Stale {
-		reuse = reusableOuts(v.(*shardSearchEntry).outs, stored, gens, s.cache)
-	}
-	outs, err := s.searchScatter(rts, req, reuse)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := s.searchMerge(rts, req, outs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		entry := &shardSearchEntry{outs: outs, resp: resp}
-		s.cache.PutWithPolicy(key, gens, entry, shardSearchEntrySize(entry),
-			searchPutPolicy(len(req.Filters), resp))
-	}
-	return resp, gens, nil
-}
-
-// reusableOuts maps a stale entry's per-shard outputs onto the current
-// generations: position i is reusable iff shard i's generation did not
-// move. Returns nil when nothing is reusable (or the shapes disagree, e.g.
-// an entry recorded under a different topology).
-func reusableOuts[T any](outs []T, stored, gens []int64, c *rescache.Cache) []*T {
-	if len(stored) != len(gens) || len(outs) != len(gens) {
-		return nil
-	}
-	reuse := make([]*T, len(gens))
-	skipped := 0
-	for i := range gens {
-		if stored[i] == gens[i] {
-			reuse[i] = &outs[i]
-			skipped++
-		}
-	}
-	if skipped == 0 {
-		return nil
-	}
-	c.NoteSkipped(skipped)
-	return reuse
-}
-
-// searchScatter runs the per-shard scans. reuse, when non-nil, supplies
-// cached outputs for shards whose data generation has not moved — those
-// shards are not scanned.
-func (s *ShardedDB) searchScatter(rts []*storage.ReadTxn, req SearchRequest, reuse []*shardOut) ([]shardOut, error) {
-	sopts := ivf.SearchOptions{
-		K: req.K, NProbe: s.perShardProbe(req.NProbe), Filters: req.Filters,
-		Exact: req.Exact, Plan: req.Plan, RerankFactor: req.RerankFactor,
-		CandidatesOnly: true,
-	}
-	outs := make([]shardOut, len(s.shards))
-	err := s.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
-		if reuse != nil && reuse[i] != nil {
-			outs[i] = *reuse[i]
-			return nil
-		}
-		so := sopts
-		so.Cancel = cancel
-		res, info, err := sh.ix.Search(rts[i], req.Vector, so)
-		if err != nil {
-			return err
-		}
-		outs[i] = shardOut{res: res, info: info}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// searchMerge pools the per-shard candidates into the final response (the
-// gather half of searchOn). It never mutates outs — cached candidate sets
-// flow through here on every partial reuse.
-func (s *ShardedDB) searchMerge(rts []*storage.ReadTxn, req SearchRequest, outs []shardOut) (*SearchResponse, error) {
-	// Gather: shards on exact paths (float32 scans, pre-filter plans,
-	// Exact queries) contribute final results directly; shards that
-	// returned approximate SQ8 candidates feed the global rerank pool.
-	var exact, approx []shardCand
-	info := outs[0].info
-	agg := *info
-	agg.CandidatesApprox = false
-	for i, o := range outs {
-		if i > 0 {
-			agg.PartitionsScanned += o.info.PartitionsScanned
-			agg.VectorsScanned += o.info.VectorsScanned
-			agg.RowsFiltered += o.info.RowsFiltered
-			agg.BytesScanned += o.info.BytesScanned
-			agg.Reranked += o.info.Reranked
-		}
-		for _, r := range o.res {
-			if o.info.CandidatesApprox {
-				approx = append(approx, shardCand{Result: r, shard: i})
-			} else {
-				exact = append(exact, shardCand{Result: r, shard: i})
-			}
-		}
-	}
-
-	if len(approx) > 0 {
-		// Pool the approximate candidates, cut to the single-store rerank
-		// budget, and rerank each survivor on the shard whose raw store
-		// holds its exact vector.
-		sortShardCands(approx)
-		if budget := s.rerankBudget(req.K, req.RerankFactor); len(approx) > budget {
-			approx = approx[:budget]
-		}
-		groups := make([][]topk.Result, len(s.shards))
-		for _, c := range approx {
-			groups[c.shard] = append(groups[c.shard], c.Result)
-		}
-		reranked := make([][]topk.Result, len(s.shards))
-		var mu sync.Mutex
-		err := s.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			res, rb, err := sh.ix.RerankCandidates(rts[i], req.Vector, groups[i], len(groups[i]))
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			agg.Reranked += len(groups[i])
-			agg.BytesScanned += rb
-			mu.Unlock()
-			reranked[i] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range reranked {
-			for _, r := range res {
-				exact = append(exact, shardCand{Result: r, shard: i})
-			}
-		}
-	}
-
-	sortShardCands(exact)
-	if len(exact) > req.K {
-		exact = exact[:req.K]
-	}
-	out := make([]Result, len(exact))
-	for i, c := range exact {
-		out[i] = Result{ID: c.AssetID, Distance: c.Distance}
-	}
-	return &SearchResponse{Results: out, Plan: agg}, nil
-}
-
-// batchShardOut is one shard's contribution to a scatter-gather batch:
-// per-query candidate sets plus execution info, immutable once produced
-// (cached entries retain them for partial reuse exactly like shardOut).
-type batchShardOut struct {
-	res  [][]topk.Result
-	info *ivf.BatchInfo
-}
-
-// shardBatchEntry is the cached form of one scatter-gather batch search.
-type shardBatchEntry struct {
-	outs []batchShardOut
-	resp *BatchSearchResponse
+	return s.search(nil, req)
 }
 
 // BatchSearch scatters the whole batch to every shard — each shard runs its
 // own multi-query-optimized BatchSearch over the full query set, so the MQO
 // partition-scan sharing is preserved within every shard — then merges the
-// per-shard per-query candidates exactly like Search does. Caching follows
-// Search too: a repeated identical batch serves from the cache on a full
-// per-shard generation match and re-scans only the changed shards on a
-// partial one.
+// per-shard per-query candidates exactly like Search does, caching
+// included.
 func (s *ShardedDB) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := s.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	defer closeReads(rts)
-	if s.cache == nil || req.NoCache || len(req.Vectors) == 0 {
-		return s.batchSearchOn(rts, req)
-	}
-	queries := s.batchMatrix(req)
-	key := s.shards[0].batchCacheKey(req)
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	if v, _, out := s.cache.Get(key, gens); out == rescache.Hit {
-		return cloneBatchSearchResponse(v.(*shardBatchEntry).resp), nil
-	}
-	return cachedShardedQuery(s, key, gens, cloneBatchSearchResponse, func() (*BatchSearchResponse, []int64, error) {
-		return s.cachedBatchSearchOn(rts, req, queries, key, gens, false, true)
-	})
-}
-
-// batchMatrix packs the batch into a query matrix. Dimensions were already
-// validated by the shared normalization path.
-func (s *ShardedDB) batchMatrix(req BatchSearchRequest) *vec.Matrix {
-	queries := vec.NewMatrix(len(req.Vectors), s.Dim())
-	for i, q := range req.Vectors {
-		queries.SetRow(i, q)
-	}
-	return queries
-}
-
-func (s *ShardedDB) batchSearchOn(rts []*storage.ReadTxn, req BatchSearchRequest) (*BatchSearchResponse, error) {
-	if err := s.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Vectors) == 0 {
-		return &BatchSearchResponse{}, nil
-	}
-	queries := s.batchMatrix(req)
-	if s.cache == nil || req.NoCache {
-		outs, err := s.batchScatter(rts, req, queries, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.batchMerge(rts, req, queries, outs)
-	}
-	// Snapshot path: consult but never store (see searchOn).
-	gens, err := s.readGens(rts)
-	if err != nil {
-		return nil, err
-	}
-	resp, _, err := s.cachedBatchSearchOn(rts, req, queries, s.shards[0].batchCacheKey(req), gens, true, false)
-	if err != nil {
-		return nil, err
-	}
-	return cloneBatchSearchResponse(resp), nil
-}
-
-// cachedBatchSearchOn is cachedSearchOn for batches: it returns the shared
-// cached response plus the generations it answers for; callers clone.
-func (s *ShardedDB) cachedBatchSearchOn(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, key rescache.Key, gens []int64, counted, store bool) (*BatchSearchResponse, []int64, error) {
-	var v any
-	var stored []int64
-	var out rescache.Outcome
-	if counted {
-		v, stored, out = s.cache.Get(key, gens)
-	} else {
-		v, stored, out = s.cache.Lookup(key, gens)
-	}
-	if out == rescache.Hit {
-		return v.(*shardBatchEntry).resp, gens, nil
-	}
-	var reuse []*batchShardOut
-	if out == rescache.Stale {
-		reuse = reusableOuts(v.(*shardBatchEntry).outs, stored, gens, s.cache)
-	}
-	outs, err := s.batchScatter(rts, req, queries, reuse)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := s.batchMerge(rts, req, queries, outs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store {
-		entry := &shardBatchEntry{outs: outs, resp: resp}
-		s.cache.PutWithPolicy(key, gens, entry, shardBatchEntrySize(entry), batchPutPolicy(resp))
-	}
-	return resp, gens, nil
-}
-
-// batchScatter runs the per-shard batch scans, reusing cached outputs for
-// shards whose generation has not moved.
-func (s *ShardedDB) batchScatter(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, reuse []*batchShardOut) ([]batchShardOut, error) {
-	bopts := ivf.BatchOptions{
-		K: req.K, NProbe: s.perShardProbe(req.NProbe),
-		RerankFactor: req.RerankFactor, CandidatesOnly: true,
-	}
-	outs := make([]batchShardOut, len(s.shards))
-	err := s.scatterCancel(func(i int, sh *DB, cancel <-chan struct{}) error {
-		if reuse != nil && reuse[i] != nil {
-			outs[i] = *reuse[i]
-			return nil
-		}
-		bo := bopts
-		bo.Cancel = cancel
-		res, info, err := sh.ix.BatchSearch(rts[i], queries, bo)
-		if err != nil {
-			return err
-		}
-		outs[i] = batchShardOut{res: res, info: info}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// batchMerge pools the per-shard per-query candidates into the final
-// response; it never mutates outs.
-func (s *ShardedDB) batchMerge(rts []*storage.ReadTxn, req BatchSearchRequest, queries *vec.Matrix, outs []batchShardOut) (*BatchSearchResponse, error) {
-	nq := queries.Rows
-	agg := *outs[0].info
-	agg.CandidatesApprox = false
-	for _, o := range outs[1:] {
-		agg.PartitionScans += o.info.PartitionScans
-		agg.QueryPartitionPairs += o.info.QueryPartitionPairs
-		agg.VectorsScanned += o.info.VectorsScanned
-		agg.DistancePairs += o.info.DistancePairs
-		agg.BytesScanned += o.info.BytesScanned
-		agg.Reranked += o.info.Reranked
-	}
-
-	// Gather per query, separating shards that returned final exact results
-	// from shards that returned approximate SQ8 candidates (same contract
-	// as searchOn: only approximate candidates owe a rerank). Approximate
-	// pools are cut to the single-store rerank budget before grouping back
-	// onto their owning shards. groups[shard][query] keeps order intact.
-	merged := make([][]shardCand, nq)
-	groups := make([]map[int][]topk.Result, len(s.shards))
-	for i := range groups {
-		groups[i] = make(map[int][]topk.Result)
-	}
-	anyApprox := false
-	for qi := 0; qi < nq; qi++ {
-		var exact, approx []shardCand
-		for i, o := range outs {
-			for _, r := range o.res[qi] {
-				c := shardCand{Result: r, shard: i}
-				if o.info.CandidatesApprox {
-					approx = append(approx, c)
-				} else {
-					exact = append(exact, c)
-				}
-			}
-		}
-		merged[qi] = exact
-		if len(approx) > 0 {
-			anyApprox = true
-			sortShardCands(approx)
-			if budget := s.rerankBudget(req.K, req.RerankFactor); len(approx) > budget {
-				approx = approx[:budget]
-			}
-			for _, c := range approx {
-				groups[c.shard][qi] = append(groups[c.shard][qi], c.Result)
-			}
-		}
-	}
-
-	if anyApprox {
-		reranked := make([]map[int][]topk.Result, len(s.shards))
-		var mu sync.Mutex
-		err := s.scatter(func(i int, sh *DB) error {
-			if len(groups[i]) == 0 {
-				return nil
-			}
-			out := make(map[int][]topk.Result, len(groups[i]))
-			var rerankedN, bytesRead int64
-			for qi, cands := range groups[i] {
-				res, rb, err := sh.ix.RerankCandidates(rts[i], queries.Row(qi), cands, len(cands))
-				if err != nil {
-					return err
-				}
-				rerankedN += int64(len(cands))
-				bytesRead += rb
-				out[qi] = res
-			}
-			mu.Lock()
-			agg.Reranked += rerankedN
-			agg.BytesScanned += bytesRead
-			mu.Unlock()
-			reranked[i] = out
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for qi := 0; qi < nq; qi++ {
-			for i, byQuery := range reranked {
-				if byQuery == nil {
-					continue
-				}
-				for _, r := range byQuery[qi] {
-					merged[qi] = append(merged[qi], shardCand{Result: r, shard: i})
-				}
-			}
-		}
-	}
-
-	out := make([][]Result, nq)
-	for qi, pool := range merged {
-		sortShardCands(pool)
-		if len(pool) > req.K {
-			pool = pool[:req.K]
-		}
-		out[qi] = make([]Result, len(pool))
-		for i, c := range pool {
-			out[qi][i] = Result{ID: c.AssetID, Distance: c.Distance}
-		}
-	}
-	return &BatchSearchResponse{Results: out, Info: agg}, nil
-}
-
-// --- cache entry sizing ---
-
-// candsSize estimates the footprint of one candidate slice.
-func candsSize(rs []topk.Result) int64 {
-	n := int64(24)
-	for _, r := range rs {
-		n += 40 + int64(len(r.AssetID))
-	}
-	return n
-}
-
-func shardSearchEntrySize(e *shardSearchEntry) int64 {
-	n := searchResponseSize(e.resp)
-	for _, o := range e.outs {
-		n += 96 + candsSize(o.res)
-	}
-	return n
-}
-
-func shardBatchEntrySize(e *shardBatchEntry) int64 {
-	n := batchSearchResponseSize(e.resp)
-	for _, o := range e.outs {
-		n += 96
-		for _, rs := range o.res {
-			n += candsSize(rs)
-		}
-	}
-	return n
+	return s.batchSearch(nil, req)
 }
 
 // ResultCacheStats returns the router-level result cache counters (zeros
@@ -1080,13 +378,13 @@ func mergeReports(reps []*MaintenanceReport) *MaintenanceReport {
 	return out
 }
 
-// Rebuild retrains every shard's IVF index in parallel and merges the
-// reports.
-func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
+// maintainEach runs one maintenance call on every shard in parallel and
+// merges the reports.
+func (s *ShardedDB) maintainEach(fn func(*DB) (*MaintenanceReport, error)) (*MaintenanceReport, error) {
 	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.Rebuild()
-		reps[i] = rep
+	err := s.scatter(func(i int, sh *DB, _ <-chan struct{}) error {
+		var err error
+		reps[i], err = fn(sh)
 		return err
 	})
 	if err != nil {
@@ -1095,44 +393,28 @@ func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) {
 	return mergeReports(reps), nil
 }
 
+// Rebuild retrains every shard's IVF index in parallel and merges the
+// reports.
+func (s *ShardedDB) Rebuild() (*MaintenanceReport, error) { return s.maintainEach((*DB).Rebuild) }
+
 // FlushDelta flushes every shard's delta-store in parallel.
 func (s *ShardedDB) FlushDelta() (*MaintenanceReport, error) {
-	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.FlushDelta()
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeReports(reps), nil
+	return s.maintainEach((*DB).FlushDelta)
 }
 
 // Maintain runs the incremental maintenance policy on every shard in
 // parallel (each step in its own short per-shard write transaction) and
 // merges the reports.
-func (s *ShardedDB) Maintain() (*MaintenanceReport, error) {
-	reps := make([]*MaintenanceReport, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		rep, err := sh.Maintain()
-		reps[i] = rep
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeReports(reps), nil
-}
+func (s *ShardedDB) Maintain() (*MaintenanceReport, error) { return s.maintainEach((*DB).Maintain) }
 
 // Analyze refreshes every shard's attribute statistics.
 func (s *ShardedDB) Analyze() error {
-	return s.scatter(func(i int, sh *DB) error { return sh.Analyze() })
+	return s.scatter(func(_ int, sh *DB, _ <-chan struct{}) error { return sh.Analyze() })
 }
 
 // Checkpoint folds every shard's WAL into its main file.
 func (s *ShardedDB) Checkpoint() error {
-	return s.scatter(func(i int, sh *DB) error { return sh.Checkpoint() })
+	return s.scatter(func(_ int, sh *DB, _ <-chan struct{}) error { return sh.Checkpoint() })
 }
 
 // DropCaches empties every shard's buffer pool and in-memory centroid
@@ -1145,15 +427,10 @@ func (s *ShardedDB) DropCaches() {
 	if s.cache != nil {
 		s.cache.Clear()
 	}
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *DB) {
-			defer wg.Done()
-			sh.DropCaches()
-		}(sh)
-	}
-	wg.Wait()
+	_ = s.scatter(func(_ int, sh *DB, _ <-chan struct{}) error {
+		sh.DropCaches()
+		return nil // DropCaches cannot fail
+	})
 }
 
 // AggregateStats folds per-shard stats into whole-database numbers: counts,
@@ -1247,9 +524,9 @@ func (s *ShardedDB) SetZonePruning(enabled bool) {
 // ShardStats returns each shard's stats, indexed by shard.
 func (s *ShardedDB) ShardStats() ([]Stats, error) {
 	per := make([]Stats, len(s.shards))
-	err := s.scatter(func(i int, sh *DB) error {
-		st, err := sh.Stats()
-		per[i] = st
+	err := s.scatter(func(i int, sh *DB, _ <-chan struct{}) error {
+		var err error
+		per[i], err = sh.Stats()
 		return err
 	})
 	if err != nil {
@@ -1317,66 +594,4 @@ func (s *ShardedDB) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// --- snapshots ---
-
-// ShardedSnapshot is a read-only view pinning one read transaction per
-// shard. Each shard's view is a consistent commit horizon; the horizons are
-// captured shard by shard, so a cross-shard write racing Snapshot may be
-// visible on one shard and not another (per-shard consistency, as
-// documented on ShardedDB). Close releases every pinned transaction.
-type ShardedSnapshot struct {
-	db  *ShardedDB
-	rts []*storage.ReadTxn
-}
-
-// Snapshot opens a read view across all shards. Callers must Close it.
-func (s *ShardedDB) Snapshot() (*ShardedSnapshot, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	rts, err := s.beginReads()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSnapshot{db: s, rts: rts}, nil
-}
-
-// Close releases the snapshot. Idempotent.
-func (s *ShardedSnapshot) Close() {
-	closeReads(s.rts)
-}
-
-// Search runs a query against the pinned per-shard state.
-func (s *ShardedSnapshot) Search(req SearchRequest) (*SearchResponse, error) {
-	return s.db.searchOn(s.rts, req)
-}
-
-// BatchSearch runs a query batch against the pinned per-shard state.
-func (s *ShardedSnapshot) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
-	return s.db.batchSearchOn(s.rts, req)
-}
-
-// Get returns the item as of its shard's pinned horizon.
-func (s *ShardedSnapshot) Get(id string) (*Item, error) {
-	i := s.db.shardOf(id)
-	return getItem(s.db.shards[i].ix, s.rts[i], id)
-}
-
-// Stats aggregates index counters as of the pinned horizons.
-func (s *ShardedSnapshot) Stats() (Stats, error) {
-	per := make([]Stats, len(s.db.shards))
-	for i, sh := range s.db.shards {
-		st, err := sh.ix.Stats(s.rts[i])
-		if err != nil {
-			return Stats{}, err
-		}
-		per[i] = Stats{
-			NumVectors:    st.NumVectors,
-			DeltaCount:    st.DeltaCount,
-			NumPartitions: st.NumPartitions,
-		}
-	}
-	return AggregateStats(per), nil
 }

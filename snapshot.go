@@ -2,21 +2,26 @@ package micronn
 
 import (
 	"micronn/internal/storage"
-	"micronn/internal/vec"
 )
 
-// Snapshot is a read-only view of the database pinned to one commit
-// horizon. Every query through a Snapshot observes exactly the same state,
-// regardless of concurrent writes, flushes or rebuilds — the paper's §2.1
-// consistency requirement ("each reader should see a consistent state of
-// the index at all times, including reading concurrently with writes and
-// index maintenance operations").
+// Snapshot is a read-only view pinned to one commit horizon per shard (a
+// single store has one shard). Every query through a Snapshot observes
+// exactly the same state, regardless of concurrent writes, flushes or
+// rebuilds — the paper's §2.1 consistency requirement ("each reader should
+// see a consistent state of the index at all times, including reading
+// concurrently with writes and index maintenance operations"). On a
+// sharded database the horizons are captured shard by shard, so a
+// cross-shard write racing Snapshot may be visible on one shard and not
+// another (per-shard consistency, as documented on ShardedDB).
+//
+// Snapshot reads bypass the result cache: they answer from their own
+// horizon and never store entries stamped with it.
 //
 // Snapshots hold WAL segments alive and can delay checkpoints, so close
 // them promptly. A Snapshot is safe for concurrent use.
 type Snapshot struct {
-	db *DB
-	rt *storage.ReadTxn
+	r   *router
+	rts []*storage.ReadTxn
 }
 
 // Snapshot opens a consistent read view. Callers must Close it.
@@ -24,58 +29,61 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	rt, err := db.store.BeginRead()
+	return db.snapshot()
+}
+
+// Snapshot opens a read view across all shards. Callers must Close it.
+func (s *ShardedDB) Snapshot() (*Snapshot, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	return s.snapshot()
+}
+
+func (r *router) snapshot() (*Snapshot, error) {
+	rts, err := r.beginReads()
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{db: db, rt: rt}, nil
+	return &Snapshot{r: r, rts: rts}, nil
 }
 
 // Close releases the snapshot. Idempotent.
 func (s *Snapshot) Close() {
-	s.rt.Close()
+	closeReads(s.rts)
 }
 
 // Search runs a query against the pinned state (same semantics as
 // DB.Search).
 func (s *Snapshot) Search(req SearchRequest) (*SearchResponse, error) {
-	if err := s.db.normalizeSearch(&req); err != nil {
-		return nil, err
-	}
-	return s.db.searchAt(s.rt, req)
+	return s.r.search(s.rts, req)
 }
 
 // BatchSearch runs a query batch against the pinned state.
 func (s *Snapshot) BatchSearch(req BatchSearchRequest) (*BatchSearchResponse, error) {
-	if err := s.db.normalizeBatchSearch(&req); err != nil {
-		return nil, err
-	}
-	if len(req.Vectors) == 0 {
-		return &BatchSearchResponse{}, nil
-	}
-	dim := s.db.ix.Config().Dim
-	queries := vec.NewMatrix(len(req.Vectors), dim)
-	for i, q := range req.Vectors {
-		queries.SetRow(i, q)
-	}
-	return s.db.batchSearchAt(s.rt, queries, req)
+	return s.r.batchSearch(s.rts, req)
 }
 
-// Get returns the item as of the snapshot.
+// Get returns the item as of its shard's pinned horizon.
 func (s *Snapshot) Get(id string) (*Item, error) {
-	return getItem(s.db.ix, s.rt, id)
+	i := s.r.shardOf(id)
+	return getItem(s.r.shards[i].ix, s.rts[i], id)
 }
 
-// Stats returns index counters as of the snapshot.
+// Stats returns index counters as of the pinned horizons.
 func (s *Snapshot) Stats() (Stats, error) {
-	var out Stats
-	st, err := s.db.ix.Stats(s.rt)
-	if err != nil {
-		return out, err
+	per := make([]Stats, len(s.r.shards))
+	for i, sh := range s.r.shards {
+		st, err := sh.ix.Stats(s.rts[i])
+		if err != nil {
+			return Stats{}, err
+		}
+		per[i] = Stats{
+			NumVectors:    st.NumVectors,
+			DeltaCount:    st.DeltaCount,
+			NumPartitions: st.NumPartitions,
+			Ingest:        IngestStats{RunRows: st.RunRows},
+		}
 	}
-	out.NumVectors = st.NumVectors
-	out.DeltaCount = st.DeltaCount
-	out.NumPartitions = st.NumPartitions
-	out.AvgPartitionSize = st.AvgPartitionSize
-	return out, nil
+	return AggregateStats(per), nil
 }
